@@ -8,8 +8,10 @@ use nss_analysis::ring_model::RingModel;
 use nss_analysis::sweep::DensitySweep;
 use nss_bench::{ring_cfg, topo};
 use nss_model::comm::CommunicationModel;
+use nss_model::deployment::Deployment;
 use nss_model::geometry::Point2;
 use nss_model::ids::NodeId;
+use nss_model::topology::Topology;
 use nss_sim::medium::{Medium, MediumScratch};
 use std::hint::black_box;
 
@@ -63,8 +65,9 @@ fn bench_spatial_index(c: &mut Criterion) {
     // pairs — justifies the index for topology construction.
     let mut group = c.benchmark_group("ablation_spatial");
     group.sample_size(10);
-    let t = topo(60.0, 5);
-    let positions: Vec<Point2> = t.positions().to_vec();
+    let net = Deployment::disk(5, 1.0, 60.0).sample(5);
+    let t = Topology::build(&net);
+    let positions: Vec<Point2> = net.positions().to_vec();
     let r = t.comm_radius();
     group.bench_function("indexed_range_queries", |b| {
         b.iter(|| {

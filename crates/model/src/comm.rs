@@ -36,6 +36,22 @@ impl CollisionRule {
     /// The paper's Appendix-A default: carrier-sense range `2r`.
     pub const CARRIER_SENSE_2R: CollisionRule = CollisionRule::CarrierSense { factor: 2.0 };
 
+    /// Checks the carrier-sense factor: finite and at least 1, since the
+    /// carrier-sense range cannot be shorter than the transmission range
+    /// (and an unbounded one would make every range query scan the field).
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        match *self {
+            CollisionRule::CarrierSense { factor } if !(factor >= 1.0 && factor.is_finite()) => {
+                Err(ConfigError::BelowMin {
+                    field: "carrier-sense factor",
+                    min: 1.0,
+                    value: factor,
+                })
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// The interference radius (in units of `r`) within which a concurrent
     /// transmitter invalidates a reception.
     pub fn interference_factor(&self) -> f64 {
@@ -340,6 +356,24 @@ mod tests {
     #[test]
     fn interference_factors() {
         assert_eq!(CollisionRule::TransmissionRange.interference_factor(), 1.0);
+        assert_eq!(CollisionRule::TransmissionRange.validate(), Ok(()));
+        assert_eq!(CollisionRule::CARRIER_SENSE_2R.validate(), Ok(()));
+        assert_eq!(
+            CollisionRule::CarrierSense { factor: 1.0 }.validate(),
+            Ok(())
+        );
+        for factor in [f64::NAN, f64::INFINITY, 0.5, -2.0] {
+            assert!(
+                matches!(
+                    CollisionRule::CarrierSense { factor }.validate(),
+                    Err(ConfigError::BelowMin {
+                        field: "carrier-sense factor",
+                        ..
+                    })
+                ),
+                "factor {factor}"
+            );
+        }
         assert_eq!(CollisionRule::CARRIER_SENSE_2R.interference_factor(), 2.0);
         assert_eq!(
             CollisionRule::CarrierSense { factor: 3.5 }.interference_factor(),

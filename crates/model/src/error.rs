@@ -34,6 +34,15 @@ pub enum ConfigError {
         /// The rejected value.
         value: u64,
     },
+    /// A real value must be finite and at least `min`.
+    BelowMin {
+        /// Name of the offending field.
+        field: &'static str,
+        /// The smallest admissible value.
+        min: f64,
+        /// The rejected value.
+        value: f64,
+    },
     /// `field` must not exceed the named bound (e.g. `t_a ≤ t_f`).
     Exceeds {
         /// Name of the offending field.
@@ -66,6 +75,9 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::TooSmall { field, min, value } => {
                 write!(f, "{field} must be ≥ {min}, got {value}")
+            }
+            ConfigError::BelowMin { field, min, value } => {
+                write!(f, "{field} must be finite and ≥ {min}, got {value}")
             }
             ConfigError::Exceeds {
                 field,
@@ -105,6 +117,15 @@ mod tests {
             value: 0,
         };
         assert_eq!(e.to_string(), "s must be ≥ 1, got 0");
+        let e = ConfigError::BelowMin {
+            field: "carrier-sense factor",
+            min: 1.0,
+            value: 0.5,
+        };
+        assert_eq!(
+            e.to_string(),
+            "carrier-sense factor must be finite and ≥ 1, got 0.5"
+        );
         let e = ConfigError::Exceeds {
             field: "t_a",
             bound: "t_f",

@@ -104,15 +104,56 @@ impl BuildStage {
 }
 
 /// Immutable unit-disk topology built from a [`DeployedNetwork`].
+///
+/// Nodes carry two ids. The *external* id is the deployment's sampling
+/// order ([`NodeId`], source = 0); every public method taking or returning
+/// a [`NodeId`] or a plain node index speaks it. Internally nodes are
+/// stored in grid-cell order (the *internal* id, see [`GridIndex`]), so
+/// unit-disk neighbours — which always share a 3×3 block of `r`-cells —
+/// sit on nearby cache lines. `ext` and `rank` translate between the two;
+/// each CSR row lists internal ids in ascending *external* order, so the
+/// external view of a row is ascending too.
 #[derive(Debug, Clone)]
 pub struct Topology {
+    /// Positions by internal id.
     positions: Vec<Point2>,
     comm_radius: f64,
-    /// CSR adjacency: neighbors of `u` are `adj[starts[u]..starts[u+1]]`.
+    /// CSR adjacency over internal ids: the neighbours of internal node `i`
+    /// are `adj[starts[i]..starts[i+1]]`, ordered by external id.
     starts: Vec<u32>,
     adj: Vec<u32>,
+    /// Internal → external id.
+    ext: Vec<u32>,
+    /// External → internal id.
+    rank: Vec<u32>,
     index: GridIndex,
 }
+
+/// The neighbours of one node as ascending external ids; see
+/// [`Topology::neighbors`].
+#[derive(Debug, Clone)]
+pub struct Neighbors<'a> {
+    row: std::slice::Iter<'a, u32>,
+    ext: &'a [u32],
+}
+
+impl Iterator for Neighbors<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        self.row.next().map(|&v| self.ext[v as usize])
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.row.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Neighbors<'_> {}
+
+impl std::iter::FusedIterator for Neighbors<'_> {}
 
 impl Topology {
     /// Builds the unit-disk graph. O(N·ρ) expected time via the grid index.
@@ -131,20 +172,30 @@ impl Topology {
         Self::try_build_with_threads(net, 0)
     }
 
-    /// Builds the unit-disk graph with a two-pass counting CSR layout,
-    /// sharding the grid-query passes over `threads` workers (0 = pick
-    /// automatically). Each node's neighbor row is computed independently
-    /// and sorted ascending, so the result is bit-identical at any thread
-    /// count.
+    /// Builds the unit-disk graph: a layout pass relabels the nodes in
+    /// grid-cell order, then a two-pass counting CSR build shards the grid
+    /// queries over `threads` workers (0 = pick automatically). Each row
+    /// is computed independently and sorted by external id, so the result
+    /// is bit-identical at any thread count.
     pub fn try_build_with_threads(
         net: &DeployedNetwork,
         threads: usize,
     ) -> Result<Self, ConfigError> {
-        let positions = net.positions().to_vec();
         let r = net.comm_radius();
-        let n = positions.len();
+        let n = net.len();
         check_node_count(n)?;
-        let index = GridIndex::build(&positions, r)?;
+
+        // Layout: the grid's counting sort fixes the internal order; gather
+        // the positions into it and invert the permutation.
+        let layout = BuildStage::start("topo.layout");
+        let t0 = BuildStage::clock();
+        let (index, ext) = GridIndex::build(net.positions(), r)?;
+        let positions: Vec<Point2> = ext.iter().map(|&e| net.positions()[e as usize]).collect();
+        let mut rank = vec![0u32; n];
+        for (i, &e) in ext.iter().enumerate() {
+            rank[e as usize] = i as u32;
+        }
+        layout.finish(&[BuildStage::clock().saturating_sub(t0)]);
 
         let nworkers = match threads {
             0 if n < PAR_BUILD_THRESHOLD => 1,
@@ -156,16 +207,22 @@ impl Topology {
         // Pass 1: count each node's degree (disjoint chunks of `degrees`).
         let chunk = n.div_ceil(nworkers).max(1);
         let mut degrees = vec![0u32; n];
+        // Both passes test every candidate of a node's 3×3 cell block
+        // branch-free, the same predicate as `GridIndex::for_each_within`.
+        let r2 = r * r;
         let count_range = |base: usize, out: &mut [u32]| {
-            for (j, d) in out.iter_mut().enumerate() {
-                let i = base + j;
-                let mut deg = 0u32;
-                index.for_each_within(&positions, &positions[i], r, |id| {
-                    if id.index() != i {
-                        deg += 1;
+            let ids = base as u32..(base + out.len()) as u32;
+            for (cell, run) in index.cell_runs(ids) {
+                for i in run {
+                    let p = positions[i as usize];
+                    let mut deg = 0u32;
+                    for block in index.block(cell, r) {
+                        for v in block {
+                            deg += u32::from(positions[v as usize].dist_sq(&p) <= r2 && v != i);
+                        }
                     }
-                });
-                *d = deg;
+                    out[(i as usize) - base] = deg;
+                }
             }
         };
         let pass1 = BuildStage::start("topo.count");
@@ -205,25 +262,38 @@ impl Topology {
             check_adjacency_len(total)?;
             starts.push(total as u32);
         }
+        drop(degrees);
 
         // Pass 2: fill each row in place. Rows are disjoint, so the
         // adjacency buffer is handed out as per-chunk sub-slices.
         let mut adj = vec![0u32; total as usize];
+        // Every node of a cell scans the same block, so the block is sorted
+        // by external id once per cell, as keys `(external << 32) |
+        // internal`; filtering it by distance then yields each of the
+        // cell's rows already in external order.
         let fill_range = |lo: usize, hi: usize, out: &mut [u32]| {
             let base = starts[lo] as usize;
-            for i in lo..hi {
-                let row_lo = starts[i] as usize - base;
-                let mut cur = row_lo;
-                index.for_each_within(&positions, &positions[i], r, |id| {
-                    if id.index() != i {
-                        out[cur] = id.0;
-                        cur += 1;
+            let mut keys: Vec<u64> = Vec::new();
+            let mut row: Vec<u32> = Vec::new();
+            for (cell, run) in index.cell_runs(lo as u32..hi as u32) {
+                keys.clear();
+                for block in index.block(cell, r) {
+                    keys.extend(block.map(|v| (u64::from(ext[v as usize]) << 32) | u64::from(v)));
+                }
+                keys.sort_unstable();
+                row.resize(keys.len(), 0);
+                for i in run {
+                    let p = positions[i as usize];
+                    // Write every candidate, advance only past the kept ones.
+                    let mut w = 0;
+                    for &k in &keys {
+                        let v = k as u32;
+                        row[w] = v;
+                        w += usize::from(positions[v as usize].dist_sq(&p) <= r2 && v != i);
                     }
-                });
-                debug_assert_eq!(cur, starts[i + 1] as usize - base);
-                // Sorted rows keep `neighbors()` output identical to the
-                // previous per-node staging build, bit for bit.
-                out[row_lo..cur].sort_unstable();
+                    let (a, b) = (starts[i as usize] as usize, starts[i as usize + 1] as usize);
+                    out[a - base..b - base].copy_from_slice(&row[..w]);
+                }
             }
         };
         let pass2 = BuildStage::start("topo.fill");
@@ -265,6 +335,8 @@ impl Topology {
             comm_radius: r,
             starts,
             adj,
+            ext,
+            rank,
             index,
         };
         // Footprint gauge: the CSR arrays dominate resident memory at
@@ -293,12 +365,7 @@ impl Topology {
     /// Position of a node.
     #[inline]
     pub fn position(&self, id: NodeId) -> Point2 {
-        self.positions[id.index()]
-    }
-
-    /// All node positions indexed by id.
-    pub fn positions(&self) -> &[Point2] {
-        &self.positions
+        self.positions[self.rank[id.index()] as usize]
     }
 
     /// The shared communication radius.
@@ -306,18 +373,19 @@ impl Topology {
         self.comm_radius
     }
 
-    /// Neighbors of `u` (sorted by id).
+    /// Neighbors of `u` as ascending external ids.
     #[inline]
-    pub fn neighbors(&self, u: NodeId) -> &[u32] {
-        let lo = self.starts[u.index()] as usize;
-        let hi = self.starts[u.index() + 1] as usize;
-        &self.adj[lo..hi]
+    pub fn neighbors(&self, u: NodeId) -> Neighbors<'_> {
+        Neighbors {
+            row: self.row(self.rank[u.index()]).iter(),
+            ext: &self.ext,
+        }
     }
 
     /// Degree of `u`.
     #[inline]
     pub fn degree(&self, u: NodeId) -> usize {
-        self.neighbors(u).len()
+        self.row(self.rank[u.index()]).len()
     }
 
     /// Total number of (undirected) edges.
@@ -333,24 +401,57 @@ impl Topology {
         self.adj.len() as f64 / self.positions.len() as f64
     }
 
-    /// Calls `f` for each node within distance `radius ≤ r` of an arbitrary
-    /// point (used by the carrier-sense medium, which needs 2r-range queries
-    /// performed as two hops — see `nss-sim`).
-    pub fn for_each_within(&self, center: &Point2, radius: f64, f: impl FnMut(NodeId)) {
+    /// Calls `f` for each node within distance `radius` of an arbitrary
+    /// point (used by the carrier-sense and SINR media). Nodes are reported
+    /// cell by cell in row-major order, ascending external id within a
+    /// cell.
+    pub fn for_each_within(&self, center: &Point2, radius: f64, mut f: impl FnMut(NodeId)) {
+        self.index
+            .for_each_within(&self.positions, center, radius, |i| {
+                f(NodeId(self.ext[i as usize]));
+            });
+    }
+
+    /// Internal → external id map, indexed by internal id.
+    pub fn ext(&self) -> &[u32] {
+        &self.ext
+    }
+
+    /// External → internal id map, indexed by external id.
+    pub fn rank(&self) -> &[u32] {
+        &self.rank
+    }
+
+    /// Neighbours of internal node `i` as internal ids, in ascending
+    /// external order.
+    #[inline]
+    pub fn row(&self, i: u32) -> &[u32] {
+        let lo = self.starts[i as usize] as usize;
+        let hi = self.starts[i as usize + 1] as usize;
+        &self.adj[lo..hi]
+    }
+
+    /// Position of internal node `i`.
+    #[inline]
+    pub fn internal_position(&self, i: u32) -> Point2 {
+        self.positions[i as usize]
+    }
+
+    /// [`Topology::for_each_within`] over internal ids, in the same order.
+    pub fn for_each_internal_within(&self, center: &Point2, radius: f64, f: impl FnMut(u32)) {
         self.index
             .for_each_within(&self.positions, center, radius, f);
     }
 
-    /// BFS hop distance from `src` to every node; `u32::MAX` marks
-    /// unreachable nodes. Level 0 is the source itself.
-    pub fn bfs_levels(&self, src: NodeId) -> Vec<u32> {
+    /// BFS hop distance over internal ids from internal node `src`.
+    fn internal_levels(&self, src: u32) -> Vec<u32> {
         let mut level = vec![u32::MAX; self.len()];
         let mut queue = VecDeque::new();
-        level[src.index()] = 0;
-        queue.push_back(src.0);
+        level[src as usize] = 0;
+        queue.push_back(src);
         while let Some(u) = queue.pop_front() {
             let lu = level[u as usize];
-            for &v in self.neighbors(NodeId(u)) {
+            for &v in self.row(u) {
                 if level[v as usize] == u32::MAX {
                     level[v as usize] = lu + 1;
                     queue.push_back(v);
@@ -360,17 +461,24 @@ impl Topology {
         level
     }
 
+    /// BFS hop distance from `src` to every node, indexed by external id;
+    /// `u32::MAX` marks unreachable nodes. Level 0 is the source itself.
+    pub fn bfs_levels(&self, src: NodeId) -> Vec<u32> {
+        let internal = self.internal_levels(self.rank[src.index()]);
+        self.rank.iter().map(|&i| internal[i as usize]).collect()
+    }
+
     /// Fraction of nodes reachable from the source by multi-hop paths — an
     /// upper bound on any broadcast scheme's reachability.
     pub fn reachable_fraction(&self, src: NodeId) -> f64 {
-        let levels = self.bfs_levels(src);
+        let levels = self.internal_levels(self.rank[src.index()]);
         levels.iter().filter(|&&l| l != u32::MAX).count() as f64 / self.len() as f64
     }
 
     /// Graph eccentricity of the source in hops (max finite BFS level) — the
     /// CFM flooding latency in units of `t_f`.
     pub fn source_eccentricity(&self, src: NodeId) -> u32 {
-        self.bfs_levels(src)
+        self.internal_levels(self.rank[src.index()])
             .iter()
             .copied()
             .filter(|&l| l != u32::MAX)
@@ -394,7 +502,7 @@ impl Topology {
             queue.push_back(s as u32);
             while let Some(u) = queue.pop_front() {
                 size += 1;
-                for &v in self.neighbors(NodeId(u)) {
+                for &v in self.row(u) {
                     if comp[v as usize] == u32::MAX {
                         comp[v as usize] = c;
                         queue.push_back(v);
@@ -411,8 +519,8 @@ impl Topology {
     pub fn degree_stats(&self) -> (usize, f64, usize) {
         let mut min = usize::MAX;
         let mut max = 0usize;
-        for u in 0..self.len() {
-            let d = self.degree(NodeId(u as u32));
+        for i in 0..self.len() {
+            let d = self.row(i as u32).len();
             min = min.min(d);
             max = max.max(d);
         }
@@ -482,9 +590,9 @@ mod tests {
         let net = Deployment::disk(3, 1.0, 30.0).sample(5);
         let topo = Topology::build(&net);
         for u in 0..topo.len() {
-            for &v in topo.neighbors(NodeId(u as u32)) {
+            for v in topo.neighbors(NodeId(u as u32)) {
                 assert!(
-                    topo.neighbors(NodeId(v)).contains(&(u as u32)),
+                    topo.neighbors(NodeId(v)).any(|w| w == u as u32),
                     "asymmetric edge {u}-{v}"
                 );
             }
@@ -547,6 +655,7 @@ mod tests {
         let seq = Topology::try_build_with_threads(&net, 1).unwrap();
         for threads in [2, 3, 4, 7] {
             let par = Topology::try_build_with_threads(&net, threads).unwrap();
+            assert_eq!(seq.ext, par.ext, "threads={threads}");
             assert_eq!(seq.starts, par.starts, "threads={threads}");
             assert_eq!(seq.adj, par.adj, "threads={threads}");
         }

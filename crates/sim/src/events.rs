@@ -108,7 +108,7 @@ fn sink_component(topo: &Topology, plan: &FaultPlan, faults_seed: u64) -> Vec<bo
     in_comp[0] = true;
     let mut queue = std::collections::VecDeque::from([0u32]);
     while let Some(u) = queue.pop_front() {
-        for &v in topo.neighbors(NodeId(u)) {
+        for v in topo.neighbors(NodeId(u)) {
             if !in_comp[v as usize] && relays(plan, v, faults_seed) {
                 in_comp[v as usize] = true;
                 queue.push_back(v);

@@ -40,8 +40,7 @@ pub fn exact_expected_informed(topo: &Topology, s: u32, p: f64) -> f64 {
     let adj: Vec<u32> = (0..n)
         .map(|u| {
             topo.neighbors(NodeId(u as u32))
-                .iter()
-                .fold(0u32, |m, &v| m | (1 << v))
+                .fold(0u32, |m, v| m | (1 << v))
         })
         .collect();
 

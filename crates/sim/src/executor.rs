@@ -208,6 +208,43 @@ mod tests {
         Topology::build(&Deployment::disk(4, 1.0, 50.0).sample(3))
     }
 
+    #[test]
+    fn invalid_carrier_sense_factor_is_rejected_by_both_engines() {
+        use nss_model::comm::CollisionRule;
+        use nss_model::error::ConfigError;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let topo = topo();
+        for factor in [f64::NAN, f64::INFINITY, 0.5] {
+            let mut cfg = GossipConfig::pb_cam(0.5);
+            cfg.model = CommunicationModel::Cam(CollisionRule::CarrierSense { factor });
+            assert!(
+                matches!(
+                    cfg.validate(),
+                    Err(ConfigError::BelowMin {
+                        field: "carrier-sense factor",
+                        ..
+                    })
+                ),
+                "factor {factor}"
+            );
+            for ex in [
+                Executor::new(&topo).gossip(cfg).sequential(),
+                Executor::new(&topo).gossip(cfg).sharded(2),
+            ] {
+                let run = catch_unwind(AssertUnwindSafe(|| ex.run(1)));
+                let msg = run.expect_err("an invalid factor must not run");
+                let msg = msg
+                    .downcast_ref::<String>()
+                    .map_or("", String::as_str)
+                    .to_owned();
+                assert!(
+                    msg.contains("carrier-sense factor"),
+                    "factor {factor}: {msg}"
+                );
+            }
+        }
+    }
+
     // The builder must reproduce the internal core loops bit-for-bit:
     // these pins are what kept the removed legacy free functions honest,
     // and they now guard the builder's own plumbing (validation defaults,

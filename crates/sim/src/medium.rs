@@ -179,7 +179,7 @@ impl Medium {
             CommunicationModel::Cfm => {
                 // Reliable: every neighbor hears every transmission.
                 for &t in transmitters {
-                    for &v in topo.neighbors(NodeId(t)) {
+                    for v in topo.neighbors(NodeId(t)) {
                         deliver(&mut stats, v, t);
                     }
                 }
@@ -192,7 +192,7 @@ impl Medium {
             CommunicationModel::Cam(rule) => {
                 scratch.reset();
                 for &t in transmitters {
-                    for &v in topo.neighbors(NodeId(t)) {
+                    for v in topo.neighbors(NodeId(t)) {
                         if scratch.rx_count[v as usize] == 0 && scratch.cs_count[v as usize] == 0 {
                             scratch.touched.push(v);
                         }
@@ -269,7 +269,7 @@ pub(crate) fn resolve_sinr(
         scratch.tx_bits.set(t as usize);
     }
     for &t in transmitters {
-        for &v in topo.neighbors(NodeId(t)) {
+        for v in topo.neighbors(NodeId(t)) {
             if scratch.rx_count[v as usize] == 0 {
                 scratch.touched.push(v);
             }

@@ -166,7 +166,7 @@ pub fn run_ack_flood(topo: &Topology, cfg: &AckFloodConfig, seed: u64) -> AckFlo
                     Frame::Ack { to } => {
                         if to == rx.0 {
                             // Mark the ACKing neighbor in rx's bitmap.
-                            if let Ok(pos) = topo.neighbors(rx).binary_search(&tx.0) {
+                            if let Some(pos) = topo.neighbors(rx).position(|v| v == tx.0) {
                                 if pos < acked[rxi].len() {
                                     acked[rxi].set(pos);
                                 }

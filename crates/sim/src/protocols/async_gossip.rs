@@ -187,7 +187,7 @@ fn run_async_with(
                     fs.note_broadcast(u);
                 }
                 tx_times.push(t.as_f64());
-                for &v in topo.neighbors(NodeId(u)) {
+                for v in topo.neighbors(NodeId(u)) {
                     let slot = &mut audible[v as usize];
                     let clean = slot.is_empty() && interference[v as usize] == 0;
                     for flag in slot.values_mut() {
@@ -225,7 +225,7 @@ fn run_async_with(
                         }
                     });
                 }
-                for &v in topo.neighbors(NodeId(u)) {
+                for v in topo.neighbors(NodeId(u)) {
                     let clean = audible[v as usize].remove(&u).unwrap_or(false);
                     if !clean {
                         corrupted.push(end);

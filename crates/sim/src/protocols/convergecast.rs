@@ -99,7 +99,7 @@ pub fn run_convergecast(
             continue;
         }
         // Parent: any neighbor one level closer (first by id, deterministic).
-        for &v in topo.neighbors(NodeId(u)) {
+        for v in topo.neighbors(NodeId(u)) {
             if levels[v as usize] + 1 == levels[u as usize] {
                 parent[u as usize] = v;
                 break;

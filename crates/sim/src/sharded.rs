@@ -22,6 +22,13 @@
 //!    nodes, slot statistics) are merged in shard order and sorted where
 //!    order is observable, collapsing every schedule to one trace.
 //!
+//! The engine works in the topology's *internal* (grid-cell order) id
+//! space, so a slot's neighbour walks and per-receiver scratch writes stay
+//! cache-local. It translates to the external id (sampling order) exactly
+//! where an id is observable: the coin and slot hashes, every fault-state
+//! call, the SINR equal-power tie-break, and `first_rx_phase`. Traces are
+//! therefore those of an engine running on external ids.
+//!
 //! The engine intentionally reuses the sequential executor's *semantics*
 //! (Assumption 6 arbitration, fault gating order, phase/slot structure) but
 //! not its RNG stream: the sequential and sharded engines produce
@@ -210,10 +217,14 @@ pub(crate) fn run_sharded_with(
         _ => None,
     };
 
+    // Ids below are internal; `ext` maps them to external ids wherever
+    // one is observable.
+    let ext = topo.ext();
+    let source = topo.rank()[NodeId::SOURCE.index()];
     let mut fault_state = faults.map(|(plan, fseed)| FaultState::new(plan, fseed, n));
     let mut informed = BitSet::new(n);
-    informed.set(NodeId::SOURCE.index());
-    let mut pending: Vec<u32> = vec![NodeId::SOURCE.0];
+    informed.set(source as usize);
+    let mut pending: Vec<u32> = vec![source];
 
     // CAM arbitration scratch: relaxed atomics accumulated in pass A, read
     // and reset by the (single) owner of each touched receiver in pass B.
@@ -262,7 +273,7 @@ pub(crate) fn run_sharded_with(
         let mut slots: Vec<Vec<u32>> = vec![Vec::new(); s];
         if phase == 1 {
             // The source's initial broadcast: unconditional, uncontended.
-            slots[0].push(NodeId::SOURCE.0);
+            slots[0].push(source);
         } else {
             let coin_mix = phase_mix(seed, phase, COIN_SALT);
             let slot_mix = phase_mix(seed, phase, SLOT_SALT);
@@ -270,14 +281,15 @@ pub(crate) fn run_sharded_with(
             let partials = map_chunks("sim.txsel", &pending, workers, |chunk| {
                 let mut local: Vec<Vec<u32>> = vec![Vec::new(); s];
                 for &u in chunk {
+                    let e = ext[u as usize];
                     if let Some(fs) = fs {
-                        if !fs.is_alive(u as usize) {
+                        if !fs.is_alive(e as usize) {
                             continue; // down this phase: forfeits the rebroadcast
                         }
                     }
-                    if cfg.prob >= 1.0 || hash_unit(coin_mix, u64::from(u)) < cfg.prob {
+                    if cfg.prob >= 1.0 || hash_unit(coin_mix, u64::from(e)) < cfg.prob {
                         let sl =
-                            ((hash_unit(slot_mix, u64::from(u)) * s as f64) as usize).min(s - 1);
+                            ((hash_unit(slot_mix, u64::from(e)) * s as f64) as usize).min(s - 1);
                         local[sl].push(u);
                     }
                 }
@@ -293,7 +305,7 @@ pub(crate) fn run_sharded_with(
         if let Some(fs) = fault_state.as_mut() {
             for sl in &slots {
                 for &u in sl {
-                    fs.note_broadcast(u);
+                    fs.note_broadcast(ext[u as usize]);
                 }
             }
         }
@@ -353,7 +365,7 @@ pub(crate) fn run_sharded_with(
             newly.dedup();
             for &v in &newly {
                 informed.set(v as usize);
-                trace.first_rx_phase[v as usize] = phase;
+                trace.first_rx_phase[ext[v as usize] as usize] = phase;
             }
             phase_newly.append(&mut newly);
         }
@@ -393,17 +405,19 @@ fn resolve_slot_cfm(
     sf: Option<&SlotFaults<'_>>,
     workers: usize,
 ) -> (SlotStats, Vec<u32>) {
+    let ext = topo.ext();
     let partials = map_chunks("sim.slot.cfm", txs, workers, |chunk| {
         let mut st = SlotStats::default();
         let mut newly: Vec<u32> = Vec::new();
         for &t in chunk {
-            for &v in topo.neighbors(NodeId(t)) {
+            for &v in topo.row(t) {
                 if let Some(f) = sf {
-                    if !f.alive.get(v as usize) {
+                    let ev = ext[v as usize];
+                    if !f.alive.get(ev as usize) {
                         st.dead_drops += 1;
                         continue;
                     }
-                    if !f.link_delivers(t, v) {
+                    if !f.link_delivers(ext[t as usize], ev) {
                         st.losses += 1;
                         continue;
                     }
@@ -450,7 +464,7 @@ fn resolve_slot_cam(
         let mut touched: Vec<u32> = Vec::new();
         let mut lost: u64 = 0;
         for &t in chunk {
-            for &v in topo.neighbors(NodeId(t)) {
+            for &v in topo.row(t) {
                 if touched_claim.claim(v as usize) {
                     touched.push(v);
                 } else if nss_obs::enabled() {
@@ -460,20 +474,20 @@ fn resolve_slot_cam(
                 last_tx[v as usize].store(t, Relaxed);
             }
             if let Some(factor) = cs_rule {
-                let pos = topo.position(NodeId(t));
+                let pos = topo.internal_position(t);
                 let r = topo.comm_radius();
                 let r2 = r * r;
-                topo.for_each_within(&pos, factor * r, |v| {
-                    if v.0 == t {
+                topo.for_each_internal_within(&pos, factor * r, |v| {
+                    if v == t {
                         return;
                     }
-                    if topo.position(v).dist_sq(&pos) > r2 {
-                        if touched_claim.claim(v.index()) {
-                            touched.push(v.0);
+                    if topo.internal_position(v).dist_sq(&pos) > r2 {
+                        if touched_claim.claim(v as usize) {
+                            touched.push(v);
                         } else if nss_obs::enabled() {
                             lost += 1;
                         }
-                        cs_count[v.index()].fetch_add(1, Relaxed);
+                        cs_count[v as usize].fetch_add(1, Relaxed);
                     }
                 });
             }
@@ -490,6 +504,7 @@ fn resolve_slot_cam(
     nss_obs::counter!("sim.claim.contended").add(lost_total);
 
     // Pass B: classify and reset, each receiver owned by one worker.
+    let ext = topo.ext();
     let partials = map_chunks("sim.slot.classify", &touched, workers, |chunk| {
         let mut st = SlotStats::default();
         let mut newly: Vec<u32> = Vec::new();
@@ -506,11 +521,11 @@ fn resolve_slot_cam(
             if rx == 1 && cs == 0 {
                 let t = last_tx[vi].load(Relaxed);
                 if let Some(f) = sf {
-                    if !f.alive.get(vi) {
+                    if !f.alive.get(ext[vi] as usize) {
                         st.dead_drops += 1;
                         continue;
                     }
-                    if !f.link_delivers(t, v) {
+                    if !f.link_delivers(ext[t as usize], ext[vi]) {
                         st.losses += 1;
                         continue;
                     }
@@ -554,7 +569,7 @@ fn resolve_slot_sinr(
         let mut touched: Vec<u32> = Vec::new();
         let mut lost: u64 = 0;
         for &t in chunk {
-            for &v in topo.neighbors(NodeId(t)) {
+            for &v in topo.row(t) {
                 if touched_claim.claim(v as usize) {
                     touched.push(v);
                 } else if nss_obs::enabled() {
@@ -576,28 +591,32 @@ fn resolve_slot_sinr(
     let r = topo.comm_radius();
     let r2 = r * r;
     let d2_floor = r2 * 1e-12;
+    let ext = topo.ext();
     let partials = map_chunks("sim.slot.classify", &touched, workers, |chunk| {
         let mut st = SlotStats::default();
         let mut newly: Vec<u32> = Vec::new();
         for &v in chunk {
             let vi = v as usize;
-            let pos = topo.position(NodeId(v));
+            let pos = topo.internal_position(v);
             let mut total = 0.0f64;
             let mut best_p = -1.0f64;
+            // External id of the strongest in-range transmitter: equal
+            // powers break ties toward the smaller external id.
             let mut best_tx = u32::MAX;
             let mut candidates = 0u32;
-            topo.for_each_within(&pos, params.interference_factor * r, |u| {
-                if u.0 == v || !tx_bits.get(u.index()) {
+            topo.for_each_internal_within(&pos, params.interference_factor * r, |u| {
+                if u == v || !tx_bits.get(u as usize) {
                     return;
                 }
-                let d2 = topo.position(u).dist_sq(&pos).max(d2_floor);
+                let d2 = topo.internal_position(u).dist_sq(&pos).max(d2_floor);
                 let p = (r2 / d2).powf(params.alpha * 0.5);
                 total += p;
                 if d2 <= r2 {
                     candidates += 1;
-                    if p > best_p || (p == best_p && u.0 < best_tx) {
+                    let eu = ext[u as usize];
+                    if p > best_p || (p == best_p && eu < best_tx) {
                         best_p = p;
-                        best_tx = u.0;
+                        best_tx = eu;
                     }
                 }
             });
@@ -611,11 +630,12 @@ fn resolve_slot_sinr(
                     st.sinr_captures += 1;
                 }
                 if let Some(f) = sf {
-                    if !f.alive.get(vi) {
+                    let ev = ext[vi];
+                    if !f.alive.get(ev as usize) {
                         st.dead_drops += 1;
                         continue;
                     }
-                    if !f.link_delivers(best_tx, v) {
+                    if !f.link_delivers(best_tx, ev) {
                         st.losses += 1;
                         continue;
                     }

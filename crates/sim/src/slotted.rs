@@ -115,6 +115,9 @@ impl GossipConfig {
                 value: self.max_phases as u64,
             });
         }
+        if let CommunicationModel::Cam(rule) = self.model {
+            rule.validate()?;
+        }
         self.backend.validate()?;
         Ok(())
     }

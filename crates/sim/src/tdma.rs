@@ -73,9 +73,9 @@ impl TdmaSchedule {
                     used[s as usize] = true;
                 }
             };
-            for &v in topo.neighbors(NodeId(u)) {
+            for v in topo.neighbors(NodeId(u)) {
                 mark(v);
-                for &w in topo.neighbors(NodeId(v)) {
+                for w in topo.neighbors(NodeId(v)) {
                     if w != u {
                         mark(w);
                     }
@@ -96,11 +96,11 @@ impl TdmaSchedule {
     pub fn verify(&self, topo: &Topology) -> bool {
         for u in 0..topo.len() as u32 {
             let su = self.slot_of[u as usize];
-            for &v in topo.neighbors(NodeId(u)) {
+            for v in topo.neighbors(NodeId(u)) {
                 if v != u && self.slot_of[v as usize] == su {
                     return false;
                 }
-                for &w in topo.neighbors(NodeId(v)) {
+                for w in topo.neighbors(NodeId(v)) {
                     if w != u && self.slot_of[w as usize] == su {
                         return false;
                     }
@@ -291,9 +291,9 @@ mod tests {
             let mut max_d2 = 0usize;
             for u in 0..topo.len() as u32 {
                 let mut seen = std::collections::HashSet::new();
-                for &v in topo.neighbors(NodeId(u)) {
+                for v in topo.neighbors(NodeId(u)) {
                     seen.insert(v);
-                    for &w in topo.neighbors(NodeId(v)) {
+                    for w in topo.neighbors(NodeId(v)) {
                         if w != u {
                             seen.insert(w);
                         }

@@ -190,17 +190,18 @@ proptest! {
         radius in 0.1f64..4.0,
     ) {
         let points: Vec<Point2> = pts.iter().map(|&(x, y)| Point2::new(x, y)).collect();
-        let idx = GridIndex::build(&points, 1.5).unwrap();
+        let (idx, order) = GridIndex::build(&points, 1.5).unwrap();
+        let gathered: Vec<Point2> = order.iter().map(|&o| points[o as usize]).collect();
         let q = Point2::new(qx, qy);
-        let mut got = idx.within(&points, &q, radius);
-        got.sort_unstable();
-        let mut expect: Vec<NodeId> = points
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.dist_sq(&q) <= radius * radius)
-            .map(|(i, _)| NodeId(i as u32))
+        let mut got: Vec<u32> = idx
+            .within(&gathered, &q, radius)
+            .into_iter()
+            .map(|i| order[i as usize])
             .collect();
-        expect.sort_unstable();
+        got.sort_unstable();
+        let expect: Vec<u32> = (0..points.len() as u32)
+            .filter(|&i| points[i as usize].dist_sq(&q) <= radius * radius)
+            .collect();
         prop_assert_eq!(got, expect);
     }
 
