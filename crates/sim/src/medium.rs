@@ -18,20 +18,43 @@
 //! summed over every other transmitter within `κ·r` of `v`. The sum is
 //! accumulated per receiver in the spatial grid's canonical iteration
 //! order, so results are bit-identical under any engine or thread count.
+//!
+//! Arbitration is one kernel of two passes over a *receiver window*, a
+//! contiguous range of internal (grid-cell order) ids: [`Medium::expose`]
+//! counts each owned receiver's exposure, and [`Medium::classify`] applies
+//! the reception rule to it. [`Medium::resolve_slot`] runs both over one
+//! window holding every node; the sharded engine runs them over disjoint
+//! windows, each resolved by one worker, so no receiver has two writers.
 
 use crate::bits::BitSet;
 use crate::faults::SlotFaults;
 use nss_model::comm::{CollisionRule, CommunicationModel, MediumBackend, SinrParams};
+use nss_model::geometry::Point2;
 use nss_model::ids::NodeId;
 use nss_model::topology::Topology;
 
+/// One receiver's exposure in the slot being resolved: transmitters
+/// within `r` (`rx`), transmitters in the carrier-sense annulus (`cs`),
+/// and the last in-range transmitter heard. Kept together so a touch
+/// costs one cache line.
+#[derive(Debug, Clone, Copy, Default)]
+struct Exposure {
+    rx: u16,
+    cs: u16,
+    last_tx: u32,
+}
+
 /// Reusable scratch buffers for slot resolution (sized to the topology).
+///
+/// Every buffer is indexed by the topology's *internal* (grid-cell order)
+/// id. [`MediumScratch::windows`] splits the per-receiver exposure into
+/// disjoint receiver windows, each resolved by one worker of a sharded
+/// slot.
 #[derive(Debug)]
 pub struct MediumScratch {
-    rx_count: Vec<u16>,
-    cs_count: Vec<u16>,
-    last_tx: Vec<u32>,
+    exposure: Vec<Exposure>,
     touched: Vec<u32>,
+    txs: Vec<u32>,
     tx_bits: BitSet,
 }
 
@@ -39,20 +62,125 @@ impl MediumScratch {
     /// Allocates scratch space for an `n`-node topology.
     pub fn new(n: usize) -> Self {
         MediumScratch {
-            rx_count: vec![0; n],
-            cs_count: vec![0; n],
-            last_tx: vec![0; n],
+            exposure: vec![Exposure::default(); n],
             touched: Vec::with_capacity(256),
+            txs: Vec::new(),
             tx_bits: BitSet::new(n),
         }
     }
 
-    fn reset(&mut self) {
-        for &v in &self.touched {
-            self.rx_count[v as usize] = 0;
-            self.cs_count[v as usize] = 0;
+    /// Heap bytes held by the per-receiver exposure and the transmitter
+    /// bitset (memory-footprint telemetry).
+    pub(crate) fn bytes(&self) -> usize {
+        self.exposure.len() * std::mem::size_of::<Exposure>() + self.tx_bits.bytes()
+    }
+
+    /// Splits the receivers at `bounds` into one [`Window`] per adjacent
+    /// pair: window `i` owns internal ids `bounds[i]..bounds[i+1]` of
+    /// `topo`. `bounds` must ascend from 0 to the node count. Each window
+    /// records its receivers' bounding box, so [`Medium::expose`] skips
+    /// transmitters too far away to reach any of them without reading
+    /// their rows. The transmitter bitset [`Medium::classify`] reads under
+    /// SINR comes back alongside, since the windows hold the rest of the
+    /// scratch mutably.
+    pub fn windows(&mut self, topo: &Topology, bounds: &[u32]) -> (Vec<Window<'_>>, &mut BitSet) {
+        assert!(
+            bounds.first() == Some(&0) && bounds.last() == Some(&(self.exposure.len() as u32)),
+            "receiver windows must cover 0..n"
+        );
+        let mut rest = &mut self.exposure[..];
+        let mut windows = Vec::with_capacity(bounds.len().saturating_sub(1));
+        for pair in bounds.windows(2) {
+            let (exposure, tail) =
+                std::mem::take(&mut rest).split_at_mut((pair[1] - pair[0]) as usize);
+            rest = tail;
+            windows.push(Window {
+                lo: pair[0],
+                exposure,
+                touched: Vec::new(),
+                extent: Some(Extent::of(topo, pair[0]..pair[1])),
+            });
         }
-        self.touched.clear();
+        (windows, &mut self.tx_bits)
+    }
+}
+
+/// The receivers `lo..hi` of one slot resolution (internal ids): their
+/// exposure, and the receivers touched this slot in first-touch order.
+/// Windows of one scratch are disjoint, so each can be resolved on its own
+/// thread without synchronization.
+#[derive(Debug)]
+pub struct Window<'a> {
+    lo: u32,
+    exposure: &'a mut [Exposure],
+    touched: Vec<u32>,
+    /// Bounding box of the owned receivers; `None` for a window holding
+    /// every node, which every transmitter reaches.
+    extent: Option<Extent>,
+}
+
+/// Axis-aligned bounding box of a set of node positions (inverted, so
+/// nothing is near it, when the set is empty).
+#[derive(Debug, Clone, Copy)]
+struct Extent {
+    min_x: f64,
+    min_y: f64,
+    max_x: f64,
+    max_y: f64,
+}
+
+impl Extent {
+    fn of(topo: &Topology, ids: std::ops::Range<u32>) -> Self {
+        let mut e = Extent {
+            min_x: f64::INFINITY,
+            min_y: f64::INFINITY,
+            max_x: f64::NEG_INFINITY,
+            max_y: f64::NEG_INFINITY,
+        };
+        for i in ids {
+            let p = topo.internal_position(i);
+            e.min_x = e.min_x.min(p.x);
+            e.min_y = e.min_y.min(p.y);
+            e.max_x = e.max_x.max(p.x);
+            e.max_y = e.max_y.max(p.y);
+        }
+        e
+    }
+
+    /// Whether `p` lies within `reach` of the box (conservatively: a
+    /// relative slack absorbs the rounding of the distance tests).
+    #[inline]
+    fn near(&self, p: Point2, reach: f64) -> bool {
+        let d = reach * (1.0 + 1e-9);
+        p.x >= self.min_x - d
+            && p.x <= self.max_x + d
+            && p.y >= self.min_y - d
+            && p.y <= self.max_y + d
+    }
+}
+
+impl Window<'_> {
+    /// The exposure of internal id `v`, if this window owns it; records
+    /// `v` as touched on its first exposure this slot.
+    #[inline]
+    fn touch(&mut self, v: u32) -> Option<&mut Exposure> {
+        let e = self.exposure.get_mut(v.wrapping_sub(self.lo) as usize)?;
+        if e.rx == 0 && e.cs == 0 {
+            self.touched.push(v);
+        }
+        Some(e)
+    }
+
+    /// Whether this window owns internal id `v`.
+    #[inline]
+    fn owns(&self, v: u32) -> bool {
+        (v.wrapping_sub(self.lo) as usize) < self.exposure.len()
+    }
+
+    /// Takes the exposure of touched receiver `v`, leaving it reset.
+    #[inline]
+    fn take(&mut self, v: u32) -> Exposure {
+        std::mem::take(&mut self.exposure[(v - self.lo) as usize])
     }
 }
 
@@ -138,6 +266,17 @@ impl Medium {
         self.backend
     }
 
+    /// The SINR parameters slots are resolved under: `Some` only for a
+    /// SINR backend under CAM, since CFM ignores the physical layer. Every
+    /// engine keys its SINR accounting (`sinr_rejects_by_phase`, the
+    /// `sim.sinr.*` counters) off this one predicate.
+    pub(crate) fn sinr_params(&self) -> Option<SinrParams> {
+        match (self.model, self.backend) {
+            (CommunicationModel::Cam(_), MediumBackend::Sinr(params)) => Some(params),
+            _ => None,
+        }
+    }
+
     /// Resolves one slot: `transmitters` all transmit simultaneously;
     /// `on_delivery(receiver, transmitter)` fires for every clean delivery.
     /// Returns the slot's delivery/collision accounting (see [`SlotStats`]).
@@ -148,6 +287,9 @@ impl Medium {
     /// is additionally gated by the receiver's liveness (`dead_drops`) and
     /// the independent link-loss coin (`losses`); arbitration itself is
     /// unaffected — a lost or unheard packet still occupied the channel.
+    ///
+    /// Ids here are external; the slot runs [`Medium::expose`] and
+    /// [`Medium::classify`] over one window covering every node.
     pub fn resolve_slot(
         &self,
         topo: &Topology,
@@ -156,85 +298,40 @@ impl Medium {
         faults: Option<&SlotFaults<'_>>,
         mut on_delivery: impl FnMut(NodeId, NodeId),
     ) -> SlotStats {
-        let mut stats = SlotStats::default();
         if transmitters.is_empty() {
-            return stats;
+            return SlotStats::default();
         }
-        // Gate one arbitration-clean delivery through the fault plan.
-        let mut deliver = |stats: &mut SlotStats, rx: u32, tx: u32| {
-            if let Some(f) = faults {
-                if !f.alive.get(rx as usize) {
-                    stats.dead_drops += 1;
-                    return;
-                }
-                if !f.link_delivers(tx, rx) {
-                    stats.losses += 1;
-                    return;
-                }
+        let (rank, ext) = (topo.rank(), topo.ext());
+        let mut txs = std::mem::take(&mut scratch.txs);
+        txs.clear();
+        txs.extend(transmitters.iter().map(|&t| rank[t as usize]));
+        let sinr = self.sinr_params().is_some();
+        if sinr {
+            for &t in &txs {
+                scratch.tx_bits.set(t as usize);
             }
-            stats.deliveries += 1;
-            on_delivery(NodeId(rx), NodeId(tx));
+        }
+        let mut window = Window {
+            lo: 0,
+            exposure: &mut scratch.exposure,
+            touched: std::mem::take(&mut scratch.touched),
+            extent: None,
         };
-        match self.model {
-            CommunicationModel::Cfm => {
-                // Reliable: every neighbor hears every transmission.
-                for &t in transmitters {
-                    for v in topo.neighbors(NodeId(t)) {
-                        deliver(&mut stats, v, t);
-                    }
-                }
-            }
-            CommunicationModel::Cam(_) if self.backend.is_sinr() => {
-                if let MediumBackend::Sinr(params) = self.backend {
-                    resolve_sinr(topo, transmitters, scratch, &params, &mut stats, deliver);
-                }
-            }
-            CommunicationModel::Cam(rule) => {
-                scratch.reset();
-                for &t in transmitters {
-                    for v in topo.neighbors(NodeId(t)) {
-                        if scratch.rx_count[v as usize] == 0 && scratch.cs_count[v as usize] == 0 {
-                            scratch.touched.push(v);
-                        }
-                        scratch.rx_count[v as usize] += 1;
-                        scratch.last_tx[v as usize] = t;
-                    }
-                    if let CollisionRule::CarrierSense { factor } = rule {
-                        let pos = topo.position(NodeId(t));
-                        let r = topo.comm_radius();
-                        let r2 = r * r;
-                        topo.for_each_within(&pos, factor * r, |v| {
-                            if v.0 == t {
-                                return;
-                            }
-                            let d2 = topo.position(v).dist_sq(&pos);
-                            if d2 > r2 {
-                                if scratch.rx_count[v.index()] == 0
-                                    && scratch.cs_count[v.index()] == 0
-                                {
-                                    scratch.touched.push(v.0);
-                                }
-                                scratch.cs_count[v.index()] += 1;
-                            }
-                        });
-                    }
-                }
-                for &v in &scratch.touched {
-                    let rx = scratch.rx_count[v as usize];
-                    if rx == 1 && scratch.cs_count[v as usize] == 0 {
-                        deliver(&mut stats, v, scratch.last_tx[v as usize]);
-                    } else if rx > 1 {
-                        stats.collisions += 1;
-                    } else if rx == 1 {
-                        stats.cs_deferrals += 1;
-                    }
-                }
+        self.expose(topo, &txs, &mut window);
+        let stats = self.classify(topo, &txs, &scratch.tx_bits, &mut window, faults, |v, t| {
+            on_delivery(NodeId(ext[v as usize]), NodeId(ext[t as usize]))
+        });
+        scratch.touched = window.touched;
+        if sinr {
+            for &t in &txs {
+                scratch.tx_bits.clear_bit(t as usize);
             }
         }
+        scratch.txs = txs;
         nss_obs::counter!("sim.deliveries").add(stats.deliveries);
         nss_obs::counter!("sim.collisions").add(stats.collisions);
         nss_obs::counter!("sim.cs_deferrals").add(stats.cs_deferrals);
-        if self.backend.is_sinr() {
+        if sinr {
             nss_obs::counter!("sim.sinr.rejects").add(stats.sinr_rejects);
             nss_obs::counter!("sim.sinr.captures").add(stats.sinr_captures);
         }
@@ -243,85 +340,175 @@ impl Medium {
         }
         stats
     }
+
+    /// Exposure pass of one slot over one receiver window: walks every
+    /// transmitter's neighbour row (and, under the Appendix A rule, its
+    /// carrier-sense annulus `(r, f·r]`) and counts the exposure of the
+    /// receivers `window` owns, recording them in first-touch order.
+    /// Transmitters beyond reach of the window's bounding box are skipped
+    /// unread. `txs` are internal ids. CFM needs no exposure, so this is a
+    /// no-op there.
+    pub fn expose(&self, topo: &Topology, txs: &[u32], window: &mut Window<'_>) {
+        let cs_factor = match self.model {
+            CommunicationModel::Cfm => return,
+            CommunicationModel::Cam(CollisionRule::CarrierSense { factor })
+                if !self.backend.is_sinr() =>
+            {
+                Some(factor)
+            }
+            CommunicationModel::Cam(_) => None,
+        };
+        let r = topo.comm_radius();
+        let r2 = r * r;
+        let reach = cs_factor.map_or(r, |f| f.max(1.0) * r);
+        for &t in txs {
+            if let Some(extent) = &window.extent {
+                if !extent.near(topo.internal_position(t), reach) {
+                    continue;
+                }
+            }
+            for &v in topo.row(t) {
+                if let Some(e) = window.touch(v) {
+                    e.rx = e.rx.saturating_add(1);
+                    e.last_tx = t;
+                }
+            }
+            if let Some(factor) = cs_factor {
+                let pos = topo.internal_position(t);
+                topo.for_each_internal_within(&pos, factor * r, |v| {
+                    if v != t && window.owns(v) && topo.internal_position(v).dist_sq(&pos) > r2 {
+                        if let Some(e) = window.touch(v) {
+                            e.cs = e.cs.saturating_add(1);
+                        }
+                    }
+                });
+            }
+        }
+    }
+
+    /// Classification pass of one slot over one receiver window, after
+    /// [`Medium::expose`] ran on it for the same `txs`: applies the
+    /// reception rule (CFM, Assumption 6, Appendix A, or SINR) to every
+    /// receiver the window owns, gates each clean reception through
+    /// `faults`, and calls `on_delivery(receiver, transmitter)` (internal
+    /// ids) for each delivery. Resets the window's counters as it goes.
+    ///
+    /// Under SINR, `tx_bits` must hold exactly the slot's transmitters
+    /// (internal ids); the other rules ignore it.
+    pub fn classify(
+        &self,
+        topo: &Topology,
+        txs: &[u32],
+        tx_bits: &BitSet,
+        window: &mut Window<'_>,
+        faults: Option<&SlotFaults<'_>>,
+        mut on_delivery: impl FnMut(u32, u32),
+    ) -> SlotStats {
+        let ext = topo.ext();
+        let mut stats = SlotStats::default();
+        // Gate one arbitration-clean delivery through the fault plan, whose
+        // liveness mask and link coins are keyed by external id.
+        let mut deliver = |stats: &mut SlotStats, v: u32, t: u32| {
+            if let Some(f) = faults {
+                let ev = ext[v as usize];
+                if !f.alive.get(ev as usize) {
+                    stats.dead_drops += 1;
+                    return;
+                }
+                if !f.link_delivers(ext[t as usize], ev) {
+                    stats.losses += 1;
+                    return;
+                }
+            }
+            stats.deliveries += 1;
+            on_delivery(v, t);
+        };
+        if let CommunicationModel::Cfm = self.model {
+            // Reliable: every neighbour hears every transmission.
+            for &t in txs {
+                for &v in topo.row(t) {
+                    if window.owns(v) {
+                        deliver(&mut stats, v, t);
+                    }
+                }
+            }
+        } else if let Some(params) = self.sinr_params() {
+            classify_sinr(topo, tx_bits, window, &params, &mut stats, deliver);
+        } else {
+            for i in 0..window.touched.len() {
+                let v = window.touched[i];
+                let Exposure { rx, cs, last_tx } = window.take(v);
+                if rx == 1 && cs == 0 {
+                    deliver(&mut stats, v, last_tx);
+                } else if rx > 1 {
+                    stats.collisions += 1;
+                } else if rx == 1 {
+                    stats.cs_deferrals += 1;
+                }
+            }
+        }
+        window.touched.clear();
+        stats
+    }
 }
 
-/// Resolves one CAM slot under the SINR backend.
-///
-/// Two passes: pass 1 walks each transmitter's neighbor list to collect the
-/// set of *touched* receivers (nodes with ≥ 1 in-range transmitter — only
-/// they can possibly decode, since normalized power is < 1 beyond `r` and
-/// β ≥ weakest-link power is required for the model to deliver anything at
-/// unit range). Pass 2 sweeps the spatial grid once per touched receiver,
-/// accumulating the interference sum over every transmitter within `κ·r`
-/// in the grid's canonical order and tracking the strongest in-range
-/// candidate (ties broken toward the lower node id). The candidate decodes
-/// iff `p / (noise + Σ others) ≥ β`.
-pub(crate) fn resolve_sinr(
+/// SINR classification of a window's touched receivers (nodes with ≥ 1
+/// in-range transmitter — only they can possibly decode, since normalized
+/// power is < 1 beyond `r` and β ≥ weakest-link power is required for the
+/// model to deliver anything at unit range). Each receiver sweeps the
+/// spatial grid once, accumulating the interference sum over every
+/// transmitter within `κ·r` in the grid's canonical order and tracking the
+/// strongest in-range candidate (ties broken toward the lower external
+/// id). The candidate decodes iff `p / (noise + Σ others) ≥ β`.
+fn classify_sinr(
     topo: &Topology,
-    transmitters: &[u32],
-    scratch: &mut MediumScratch,
+    tx_bits: &BitSet,
+    window: &mut Window<'_>,
     params: &SinrParams,
     stats: &mut SlotStats,
     mut deliver: impl FnMut(&mut SlotStats, u32, u32),
 ) {
-    scratch.reset();
-    for &t in transmitters {
-        scratch.tx_bits.set(t as usize);
-    }
-    for &t in transmitters {
-        for v in topo.neighbors(NodeId(t)) {
-            if scratch.rx_count[v as usize] == 0 {
-                scratch.touched.push(v);
-            }
-            scratch.rx_count[v as usize] += 1;
-        }
-    }
+    let ext = topo.ext();
     let r = topo.comm_radius();
     let r2 = r * r;
     // Floor d² at a tiny fraction of r² so co-located nodes don't produce
     // an infinite power (the result stays finite and deterministic).
     let d2_floor = r2 * 1e-12;
-    for &v in &scratch.touched {
-        let pos = topo.position(NodeId(v));
+    for i in 0..window.touched.len() {
+        let v = window.touched[i];
+        let candidates = window.take(v).rx;
+        let pos = topo.internal_position(v);
         let mut total = 0.0f64;
         let mut best_p = -1.0f64;
-        let mut best_tx = u32::MAX;
-        topo.for_each_within(&pos, params.interference_factor * r, |u| {
-            if u.0 == v || !scratch.tx_bits.get(u.index()) {
+        let mut best = u32::MAX;
+        topo.for_each_internal_within(&pos, params.interference_factor * r, |u| {
+            if u == v || !tx_bits.get(u as usize) {
                 return;
             }
-            let d2 = topo.position(u).dist_sq(&pos).max(d2_floor);
+            let d2 = topo.internal_position(u).dist_sq(&pos).max(d2_floor);
             let p = (r2 / d2).powf(params.alpha * 0.5);
             total += p;
-            if d2 <= r2 && (p > best_p || (p == best_p && u.0 < best_tx)) {
+            if d2 <= r2 && (p > best_p || (p == best_p && ext[u as usize] < ext[best as usize])) {
                 best_p = p;
-                best_tx = u.0;
+                best = u;
             }
         });
-        if best_tx == u32::MAX {
+        if best == u32::MAX {
             continue; // touched implies an in-range candidate; defensive
         }
         let denom = params.noise + (total - best_p).max(0.0);
-        let decodes = if denom <= 0.0 {
-            // No noise and no interference: SINR is unbounded.
-            true
-        } else {
-            best_p / denom >= params.beta
-        };
-        let candidates = scratch.rx_count[v as usize];
+        // No noise and no interference: SINR is unbounded.
+        let decodes = denom <= 0.0 || best_p / denom >= params.beta;
         if decodes {
             if candidates > 1 {
                 stats.sinr_captures += 1;
             }
-            deliver(stats, v, best_tx);
+            deliver(stats, v, best);
         } else if candidates > 1 {
             stats.collisions += 1;
         } else {
             stats.sinr_rejects += 1;
         }
-    }
-    for &t in transmitters {
-        scratch.tx_bits.assign(t as usize, false);
     }
 }
 

@@ -12,12 +12,15 @@
 //!    jitter — is a pure hash of `(seed, phase, node)` (the same
 //!    counter-based discipline [`crate::faults`] uses for link-loss coins),
 //!    so any shard layout computes identical decisions.
-//! 2. **Atomic-claim contention.** Per-slot CAM arbitration accumulates
-//!    `rx_count`/`cs_count` with relaxed atomic adds (commutative, so
-//!    thread order cannot matter) and elects exactly one discoverer per
-//!    touched receiver through an [`AtomicBitSet`] claim; classification
-//!    then re-walks the touched set, each receiver owned by exactly one
-//!    worker. The claim protocol is modelled in `tests/loom_claim.rs`.
+//! 2. **Disjoint receiver windows.** Slot arbitration is the one kernel in
+//!    [`crate::medium`]: the receivers are cut into contiguous windows of
+//!    internal ids (`i·n/k..(i+1)·n/k`, two per worker when there is more
+//!    than one), and the workers take windows one at a time until none is
+//!    left. A window's resolution reads the row of every transmitter within
+//!    reach of its receivers' bounding box, and counts and classifies only
+//!    its own receivers through [`Medium::expose`] and [`Medium::classify`].
+//!    No receiver has two writers, so the counters are plain integers and
+//!    no atomic or election is needed.
 //! 3. **Canonical merges.** Per-worker partial outputs (newly informed
 //!    nodes, slot statistics) are merged in shard order and sorted where
 //!    order is observable, collapsing every schedule to one trace.
@@ -26,7 +29,8 @@
 //! space, so a slot's neighbour walks and per-receiver scratch writes stay
 //! cache-local. It translates to the external id (sampling order) exactly
 //! where an id is observable: the coin and slot hashes, every fault-state
-//! call, the SINR equal-power tie-break, and `first_rx_phase`. Traces are
+//! call, the SINR equal-power tie-break, and `first_rx_phase`; the slot
+//! fault gates and the tie-break live in [`Medium::classify`]. Traces are
 //! therefore those of an engine running on external ids.
 //!
 //! The engine intentionally reuses the sequential executor's *semantics*
@@ -36,23 +40,26 @@
 //! the randomness is immaterial and the two engines agree exactly, which
 //! the tests pin down.
 
-use crate::bits::{AtomicBitSet, BitSet};
-use crate::faults::{FaultState, SlotFaults};
-use crate::medium::SlotStats;
+use crate::bits::BitSet;
+use crate::faults::FaultState;
+use crate::medium::{Medium, MediumScratch, SlotStats};
 use crate::slotted::GossipConfig;
 use crate::trace::SimTrace;
-use nss_model::comm::{CollisionRule, CommunicationModel, MediumBackend, SinrParams};
+use nss_model::comm::CommunicationModel;
 use nss_model::error::ConfigError;
 use nss_model::faults::{hash_unit, FaultPlan};
 use nss_model::ids::NodeId;
 use nss_model::rng::splitmix64;
 use nss_model::topology::Topology;
-use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
+use std::sync::{Mutex, PoisonError};
 
 /// Salt separating the rebroadcast-coin stream from everything else.
 const COIN_SALT: u64 = 0x8E44_55B6_ACD3_F1A9;
 /// Salt separating the slot-jitter stream from the coin stream.
 const SLOT_SALT: u64 = 0x5851_F42D_4C95_7F2D;
+/// Receiver windows per worker of a multi-threaded run. More windows even
+/// out the load; each costs a second read of the rows along its edges.
+const WINDOWS_PER_WORKER: usize = 2;
 
 /// Whitened per-phase key for one of the stateless decision streams.
 fn phase_mix(seed: u64, phase: u32, salt: u64) -> u64 {
@@ -93,60 +100,77 @@ fn resolve_workers(threads: usize, work: usize) -> usize {
     t.min(work.max(1))
 }
 
-/// Runs `f` over contiguous chunks of `items` on up to `workers` threads
-/// and returns the per-chunk results **in chunk order**, so downstream
-/// merges see the same partial sequence under any actual parallelism.
+/// Runs `f` on each of `parts` over `workers` threads (the calling thread
+/// is one of them) and returns the per-part results **in part order**, so
+/// downstream merges see the same partial sequence under any actual
+/// parallelism. Each thread takes the next unclaimed part until none is
+/// left, so a thread the host slows down hands its share to the others
+/// instead of holding every other thread at the join.
 ///
 /// `stage` labels this fan-out in the telemetry plane (no-op unless the
 /// `obs` feature is live): one flight-recorder event spanning the call,
-/// each chunk's wall time into the `<stage>.shard.seconds` histogram, and
-/// the max/mean chunk-time ratio into the `<stage>.imbalance` gauge.
-fn map_chunks<T, F>(stage: &'static str, items: &[u32], workers: usize, f: F) -> Vec<T>
+/// each thread's busy time into the `<stage>.shard.seconds` histogram, and
+/// the max/mean busy-time ratio into the `<stage>.imbalance` gauge.
+fn map_parts<P, T, F>(stage: &'static str, workers: usize, parts: Vec<P>, f: F) -> Vec<T>
 where
+    P: Send,
     T: Send,
-    F: Fn(&[u32]) -> T + Sync,
+    F: Fn(P) -> T + Sync,
 {
-    if items.is_empty() {
+    if parts.is_empty() {
         return Vec::new();
     }
-    let nw = workers.min(items.len());
     let start_ns = if nss_obs::enabled() {
         nss_obs::trace::now_ns()
     } else {
         0
     };
-    let timed: Vec<(T, u64)> = if nw <= 1 {
-        vec![timed_chunk(items, &f)]
-    } else {
-        let chunk = items.len().div_ceil(nw);
-        std::thread::scope(|sc| {
-            let handles: Vec<_> = items
-                .chunks(chunk)
-                .map(|c| sc.spawn(|| timed_chunk(c, &f)))
-                .collect();
-            handles
-                .into_iter()
-                // nss-lint: allow(panic-hygiene) — a panicking worker already poisoned the replication; propagating the panic is the only sound option
-                .map(|h| h.join().expect("sharded worker panicked"))
-                .collect()
-        })
+    let count = parts.len();
+    let queue = Mutex::new(parts.into_iter().enumerate());
+    let work = || {
+        let mut done = Vec::new();
+        let mut busy_ns = 0u64;
+        loop {
+            let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((i, part)) = next else { break };
+            let (out, ns) = timed_part(part, &f);
+            busy_ns += ns;
+            done.push((i, out));
+        }
+        (done, busy_ns)
     };
+    let per_thread: Vec<(Vec<(usize, T)>, u64)> = std::thread::scope(|sc| {
+        let handles: Vec<_> = (1..workers.min(count)).map(|_| sc.spawn(work)).collect();
+        let own = work();
+        std::iter::once(own)
+            .chain(handles.into_iter().map(|h| {
+                // nss-lint: allow(panic-hygiene) — a panicking worker already poisoned the replication; propagating the panic is the only sound option
+                h.join().expect("sharded worker panicked")
+            }))
+            .collect()
+    });
     if nss_obs::enabled() {
-        record_stage(stage, start_ns, &timed);
+        let busy: Vec<u64> = per_thread.iter().map(|&(_, ns)| ns).collect();
+        record_stage(stage, start_ns, &busy);
     }
-    timed.into_iter().map(|(out, _)| out).collect()
+    let mut outs: Vec<Option<T>> = (0..count).map(|_| None).collect();
+    for (i, out) in per_thread.into_iter().flat_map(|(done, _)| done) {
+        outs[i] = Some(out);
+    }
+    // Every part was taken exactly once, so every entry is filled.
+    outs.into_iter().flatten().collect()
 }
 
-/// Runs `f` on one chunk; with live instrumentation also measures the
-/// chunk's wall time in nanoseconds (0 otherwise — the timing calls
+/// Runs `f` on one part; with live instrumentation also measures the
+/// part's wall time in nanoseconds (0 otherwise — the timing calls
 /// const-fold away in disabled builds).
 #[inline]
-fn timed_chunk<T>(chunk: &[u32], f: &(impl Fn(&[u32]) -> T + Sync)) -> (T, u64) {
+fn timed_part<P, T>(part: P, f: &(impl Fn(P) -> T + Sync)) -> (T, u64) {
     if !nss_obs::enabled() {
-        return (f(chunk), 0);
+        return (f(part), 0);
     }
     let start = nss_obs::trace::now_ns();
-    let out = f(chunk);
+    let out = f(part);
     (out, nss_obs::trace::now_ns().saturating_sub(start))
 }
 
@@ -154,9 +178,9 @@ fn timed_chunk<T>(chunk: &[u32], f: &(impl Fn(&[u32]) -> T + Sync)) -> (T, u64) 
 /// coordinating replication thread *after* the workers have joined, so the
 /// flight recorder sees one ring per replication — never one per
 /// short-lived scoped worker — and the workers themselves stay
-/// instrumentation-free.
-fn record_stage<T>(stage: &'static str, start_ns: u64, timed: &[(T, u64)]) {
-    if timed.is_empty() {
+/// instrumentation-free. `busy_ns` holds each thread's busy time.
+fn record_stage(stage: &'static str, start_ns: u64, busy_ns: &[u64]) {
+    if busy_ns.is_empty() {
         return;
     }
     let end_ns = nss_obs::trace::now_ns();
@@ -169,12 +193,12 @@ fn record_stage<T>(stage: &'static str, start_ns: u64, timed: &[(T, u64)]) {
     let shard_hist = reg.histogram(&format!("{stage}.shard.seconds"));
     let mut max_ns = 0u64;
     let mut sum_ns = 0u64;
-    for &(_, dur_ns) in timed {
+    for &dur_ns in busy_ns {
         shard_hist.record(dur_ns as f64 * 1e-9);
         max_ns = max_ns.max(dur_ns);
         sum_ns += dur_ns;
     }
-    let mean_ns = sum_ns as f64 / timed.len() as f64;
+    let mean_ns = sum_ns as f64 / busy_ns.len() as f64;
     if mean_ns > 0.0 {
         // 1.0 = perfectly balanced shards; the slowest-shard multiple of
         // the mean is the wall-clock cost of the imbalance.
@@ -203,19 +227,9 @@ pub(crate) fn run_sharded_with(
     }
     let workers = resolve_workers(threads, n);
     let s = cfg.s as usize;
-    let is_cfm = matches!(cfg.model, CommunicationModel::Cfm);
-    // The SINR backend replaces CAM arbitration (CFM ignores the physical
-    // layer entirely, mirroring the sequential medium).
-    let sinr = match cfg.backend {
-        MediumBackend::Sinr(params) if !is_cfm => Some(params),
-        _ => None,
-    };
-    let cs_rule = match cfg.model {
-        CommunicationModel::Cam(CollisionRule::CarrierSense { factor }) if sinr.is_none() => {
-            Some(factor)
-        }
-        _ => None,
-    };
+    let medium = Medium::with_backend(cfg.model, cfg.backend);
+    let sinr = medium.sinr_params().is_some();
+    let cfm = matches!(cfg.model, CommunicationModel::Cfm);
 
     // Ids below are internal; `ext` maps them to external ids wherever
     // one is observable.
@@ -226,38 +240,25 @@ pub(crate) fn run_sharded_with(
     informed.set(source as usize);
     let mut pending: Vec<u32> = vec![source];
 
-    // CAM arbitration scratch: relaxed atomics accumulated in pass A, read
-    // and reset by the (single) owner of each touched receiver in pass B.
-    // The SINR backend needs neither — its pass B recomputes exposure from
-    // the transmitter bitset in the grid's canonical order.
-    let rx_count: Vec<AtomicU32> = if is_cfm || sinr.is_some() {
-        Vec::new()
+    // Arbitration scratch, split into receiver windows: several per worker
+    // when there is more than one, so the workers can even out their load.
+    // The transmitter bitset (SINR interference sweeps) is built and
+    // cleared by the coordinator between slots.
+    let mut scratch = MediumScratch::new(n);
+    let scratch_bytes = scratch.bytes();
+    let parts = if workers == 1 {
+        1
     } else {
-        (0..n).map(|_| AtomicU32::new(0)).collect()
+        (workers * WINDOWS_PER_WORKER).min(n)
     };
-    let cs_count: Vec<AtomicU32> = if cs_rule.is_some() {
-        (0..n).map(|_| AtomicU32::new(0)).collect()
-    } else {
-        Vec::new()
-    };
-    let last_tx: Vec<AtomicU32> = if is_cfm || sinr.is_some() {
-        Vec::new()
-    } else {
-        (0..n).map(|_| AtomicU32::new(0)).collect()
-    };
-    let mut touched_claim = AtomicBitSet::new(if is_cfm { 0 } else { n });
-    // Per-slot transmitter membership for SINR interference sweeps, built
-    // and cleared by the coordinator between slots.
-    let mut tx_bits = BitSet::new(if sinr.is_some() { n } else { 0 });
+    let bounds: Vec<u32> = (0..=parts).map(|i| (i * n / parts) as u32).collect();
+    let (mut windows, tx_bits) = scratch.windows(topo, &bounds);
 
-    // Memory-footprint gauges: protocol bitsets vs. CAM arbitration
-    // scratch, so a scrape of a live million-node run shows where the
-    // resident bytes are.
-    nss_obs::gauge!("sim.bitset.bytes").set((informed.bytes() + touched_claim.bytes()) as f64);
-    nss_obs::gauge!("sim.scratch.bytes").set(
-        ((rx_count.len() + cs_count.len() + last_tx.len()) * std::mem::size_of::<AtomicU32>())
-            as f64,
-    );
+    // Memory-footprint gauges: protocol bitsets vs. arbitration scratch,
+    // so a scrape of a live million-node run shows where the resident
+    // bytes are.
+    nss_obs::gauge!("sim.bitset.bytes").set(informed.bytes() as f64);
+    nss_obs::gauge!("sim.scratch.bytes").set(scratch_bytes as f64);
 
     for phase in 1..=cfg.max_phases as u32 {
         // Per-phase wall-clock histogram (`sim.phase.seconds`), surfaced in
@@ -278,7 +279,8 @@ pub(crate) fn run_sharded_with(
             let coin_mix = phase_mix(seed, phase, COIN_SALT);
             let slot_mix = phase_mix(seed, phase, SLOT_SALT);
             let fs = fault_state.as_ref();
-            let partials = map_chunks("sim.txsel", &pending, workers, |chunk| {
+            let chunks = pending.chunks(pending.len().div_ceil(workers)).collect();
+            let partials = map_parts("sim.txsel", workers, chunks, |chunk: &[u32]| {
                 let mut local: Vec<Vec<u32>> = vec![Vec::new(); s];
                 for &u in chunk {
                     let e = ext[u as usize];
@@ -313,7 +315,7 @@ pub(crate) fn run_sharded_with(
         nss_obs::counter!("sim.broadcasts").add(u64::from(tx_count));
 
         // Slot resolution: slots are sequential; the work inside each is
-        // sharded over transmitters (pass A) and touched receivers (pass B).
+        // sharded over the receiver windows, exposure then classification.
         let mut phase_stats = SlotStats::default();
         let mut phase_newly: Vec<u32> = Vec::new();
         for (si, txs) in slots.iter().enumerate() {
@@ -321,44 +323,43 @@ pub(crate) fn run_sharded_with(
                 continue;
             }
             let sf = fault_state.as_ref().map(|fs| fs.slot(phase, si as u32));
-            let (stats, mut newly) = if is_cfm {
-                resolve_slot_cfm(topo, txs, &informed, sf.as_ref(), workers)
-            } else if let Some(params) = sinr {
+            if sinr {
                 for &t in txs {
                     tx_bits.set(t as usize);
                 }
-                let out = resolve_slot_sinr(
-                    topo,
-                    txs,
-                    &informed,
-                    sf.as_ref(),
-                    &params,
-                    &tx_bits,
-                    &touched_claim,
+            }
+            if !cfm {
+                map_parts(
+                    "sim.slot.expose",
                     workers,
+                    windows.iter_mut().collect(),
+                    |w| medium.expose(topo, txs, w),
                 );
+            }
+            let partials = map_parts(
+                "sim.slot.classify",
+                workers,
+                windows.iter_mut().collect(),
+                |w| {
+                    let mut newly: Vec<u32> = Vec::new();
+                    let stats = medium.classify(topo, txs, &*tx_bits, w, sf.as_ref(), |v, _| {
+                        if !informed.get(v as usize) {
+                            newly.push(v);
+                        }
+                    });
+                    (stats, newly)
+                },
+            );
+            if sinr {
                 for &t in txs {
                     tx_bits.clear_bit(t as usize);
                 }
-                out
-            } else {
-                resolve_slot_cam(
-                    topo,
-                    txs,
-                    &informed,
-                    sf.as_ref(),
-                    cs_rule,
-                    &rx_count,
-                    &cs_count,
-                    &last_tx,
-                    &touched_claim,
-                    workers,
-                )
-            };
-            if !is_cfm {
-                touched_claim.clear_all();
             }
-            phase_stats.absorb(stats);
+            let mut newly: Vec<u32> = Vec::new();
+            for (stats, mut part) in partials {
+                phase_stats.absorb(stats);
+                newly.append(&mut part);
+            }
             // Canonical order: ascending within the slot. Receivers informed
             // here are visible as duplicates to later slots of this phase.
             newly.sort_unstable();
@@ -376,7 +377,7 @@ pub(crate) fn run_sharded_with(
         nss_obs::counter!("sim.deliveries").add(phase_stats.deliveries);
         nss_obs::counter!("sim.collisions").add(phase_stats.collisions);
         nss_obs::counter!("sim.cs_deferrals").add(phase_stats.cs_deferrals);
-        if sinr.is_some() {
+        if sinr {
             trace.sinr_rejects_by_phase.push(phase_stats.sinr_rejects);
             nss_obs::counter!("sim.sinr.rejects").add(phase_stats.sinr_rejects);
             nss_obs::counter!("sim.sinr.captures").add(phase_stats.sinr_captures);
@@ -396,281 +397,11 @@ pub(crate) fn run_sharded_with(
     trace
 }
 
-/// CFM slot: every transmission reaches every neighbor (fault-gated);
-/// deliveries are per `(tx, rx)` pair, so no arbitration state is needed.
-fn resolve_slot_cfm(
-    topo: &Topology,
-    txs: &[u32],
-    informed: &BitSet,
-    sf: Option<&SlotFaults<'_>>,
-    workers: usize,
-) -> (SlotStats, Vec<u32>) {
-    let ext = topo.ext();
-    let partials = map_chunks("sim.slot.cfm", txs, workers, |chunk| {
-        let mut st = SlotStats::default();
-        let mut newly: Vec<u32> = Vec::new();
-        for &t in chunk {
-            for &v in topo.row(t) {
-                if let Some(f) = sf {
-                    let ev = ext[v as usize];
-                    if !f.alive.get(ev as usize) {
-                        st.dead_drops += 1;
-                        continue;
-                    }
-                    if !f.link_delivers(ext[t as usize], ev) {
-                        st.losses += 1;
-                        continue;
-                    }
-                }
-                st.deliveries += 1;
-                if !informed.get(v as usize) {
-                    newly.push(v);
-                }
-            }
-        }
-        (st, newly)
-    });
-    merge_partials(partials)
-}
-
-/// CAM slot under atomic-claim contention.
-///
-/// Pass A shards the transmitters: relaxed `fetch_add` accumulates
-/// in-range (`rx_count`) and annulus (`cs_count`) exposure per receiver,
-/// and the first worker to touch a receiver claims it into its local
-/// `touched` list. Pass B shards the touched set: the claiming discipline
-/// guarantees each receiver appears exactly once, so its owner can read,
-/// classify (Assumption 6 / Appendix A / fault gates — same order as
-/// [`crate::medium::Medium::resolve_slot`]), and reset its counters
-/// without further synchronization.
-#[allow(clippy::too_many_arguments)]
-fn resolve_slot_cam(
-    topo: &Topology,
-    txs: &[u32],
-    informed: &BitSet,
-    sf: Option<&SlotFaults<'_>>,
-    cs_rule: Option<f64>,
-    rx_count: &[AtomicU32],
-    cs_count: &[AtomicU32],
-    last_tx: &[AtomicU32],
-    touched_claim: &AtomicBitSet,
-    workers: usize,
-) -> (SlotStats, Vec<u32>) {
-    // Pass A: accumulate exposure. The per-chunk `lost` tally counts claim
-    // elections this worker lost (bit already set) — the contention the
-    // atomic-claim protocol absorbs; the `enabled()` guards const-fold the
-    // bookkeeping away in uninstrumented builds.
-    let touched_parts = map_chunks("sim.slot.expose", txs, workers, |chunk| {
-        let mut touched: Vec<u32> = Vec::new();
-        let mut lost: u64 = 0;
-        for &t in chunk {
-            for &v in topo.row(t) {
-                if touched_claim.claim(v as usize) {
-                    touched.push(v);
-                } else if nss_obs::enabled() {
-                    lost += 1;
-                }
-                rx_count[v as usize].fetch_add(1, Relaxed);
-                last_tx[v as usize].store(t, Relaxed);
-            }
-            if let Some(factor) = cs_rule {
-                let pos = topo.internal_position(t);
-                let r = topo.comm_radius();
-                let r2 = r * r;
-                topo.for_each_internal_within(&pos, factor * r, |v| {
-                    if v == t {
-                        return;
-                    }
-                    if topo.internal_position(v).dist_sq(&pos) > r2 {
-                        if touched_claim.claim(v as usize) {
-                            touched.push(v);
-                        } else if nss_obs::enabled() {
-                            lost += 1;
-                        }
-                        cs_count[v as usize].fetch_add(1, Relaxed);
-                    }
-                });
-            }
-        }
-        (touched, lost)
-    });
-    let mut touched: Vec<u32> = Vec::new();
-    let mut lost_total: u64 = 0;
-    for (mut part, lost) in touched_parts {
-        touched.append(&mut part);
-        lost_total += lost;
-    }
-    nss_obs::counter!("sim.claim.won").add(touched.len() as u64);
-    nss_obs::counter!("sim.claim.contended").add(lost_total);
-
-    // Pass B: classify and reset, each receiver owned by one worker.
-    let ext = topo.ext();
-    let partials = map_chunks("sim.slot.classify", &touched, workers, |chunk| {
-        let mut st = SlotStats::default();
-        let mut newly: Vec<u32> = Vec::new();
-        for &v in chunk {
-            let vi = v as usize;
-            // nss-lint: allow(atomic-protocol) — drain-and-reset after the phase barrier: joining pass A's scope already ordered every fetch_add before these swaps
-            let rx = rx_count[vi].swap(0, Relaxed);
-            let cs = if cs_rule.is_some() {
-                // nss-lint: allow(atomic-protocol) — same barrier argument as the rx_count drain above
-                cs_count[vi].swap(0, Relaxed)
-            } else {
-                0
-            };
-            if rx == 1 && cs == 0 {
-                let t = last_tx[vi].load(Relaxed);
-                if let Some(f) = sf {
-                    if !f.alive.get(ext[vi] as usize) {
-                        st.dead_drops += 1;
-                        continue;
-                    }
-                    if !f.link_delivers(ext[t as usize], ext[vi]) {
-                        st.losses += 1;
-                        continue;
-                    }
-                }
-                st.deliveries += 1;
-                if !informed.get(vi) {
-                    newly.push(v);
-                }
-            } else if rx > 1 {
-                st.collisions += 1;
-            } else if rx == 1 {
-                st.cs_deferrals += 1;
-            }
-        }
-        (st, newly)
-    });
-    merge_partials(partials)
-}
-
-/// SINR slot under atomic-claim contention.
-///
-/// Pass A shards the transmitters and only *claims* touched receivers —
-/// no exposure counters, because pass B recomputes everything it needs by
-/// sweeping the spatial grid around each receiver in the grid's canonical
-/// order (the exact loop [`crate::medium`]'s sequential SINR resolver
-/// runs), so the per-receiver interference sum is bit-identical under any
-/// thread count. Classification order (capture accounting before fault
-/// gating) matches the sequential medium exactly.
-#[allow(clippy::too_many_arguments)]
-fn resolve_slot_sinr(
-    topo: &Topology,
-    txs: &[u32],
-    informed: &BitSet,
-    sf: Option<&SlotFaults<'_>>,
-    params: &SinrParams,
-    tx_bits: &BitSet,
-    touched_claim: &AtomicBitSet,
-    workers: usize,
-) -> (SlotStats, Vec<u32>) {
-    let touched_parts = map_chunks("sim.slot.expose", txs, workers, |chunk| {
-        let mut touched: Vec<u32> = Vec::new();
-        let mut lost: u64 = 0;
-        for &t in chunk {
-            for &v in topo.row(t) {
-                if touched_claim.claim(v as usize) {
-                    touched.push(v);
-                } else if nss_obs::enabled() {
-                    lost += 1;
-                }
-            }
-        }
-        (touched, lost)
-    });
-    let mut touched: Vec<u32> = Vec::new();
-    let mut lost_total: u64 = 0;
-    for (mut part, lost) in touched_parts {
-        touched.append(&mut part);
-        lost_total += lost;
-    }
-    nss_obs::counter!("sim.claim.won").add(touched.len() as u64);
-    nss_obs::counter!("sim.claim.contended").add(lost_total);
-
-    let r = topo.comm_radius();
-    let r2 = r * r;
-    let d2_floor = r2 * 1e-12;
-    let ext = topo.ext();
-    let partials = map_chunks("sim.slot.classify", &touched, workers, |chunk| {
-        let mut st = SlotStats::default();
-        let mut newly: Vec<u32> = Vec::new();
-        for &v in chunk {
-            let vi = v as usize;
-            let pos = topo.internal_position(v);
-            let mut total = 0.0f64;
-            let mut best_p = -1.0f64;
-            // External id of the strongest in-range transmitter: equal
-            // powers break ties toward the smaller external id.
-            let mut best_tx = u32::MAX;
-            let mut candidates = 0u32;
-            topo.for_each_internal_within(&pos, params.interference_factor * r, |u| {
-                if u == v || !tx_bits.get(u as usize) {
-                    return;
-                }
-                let d2 = topo.internal_position(u).dist_sq(&pos).max(d2_floor);
-                let p = (r2 / d2).powf(params.alpha * 0.5);
-                total += p;
-                if d2 <= r2 {
-                    candidates += 1;
-                    let eu = ext[u as usize];
-                    if p > best_p || (p == best_p && eu < best_tx) {
-                        best_p = p;
-                        best_tx = eu;
-                    }
-                }
-            });
-            if best_tx == u32::MAX {
-                continue; // touched implies an in-range candidate; defensive
-            }
-            let denom = params.noise + (total - best_p).max(0.0);
-            let decodes = denom <= 0.0 || best_p / denom >= params.beta;
-            if decodes {
-                if candidates > 1 {
-                    st.sinr_captures += 1;
-                }
-                if let Some(f) = sf {
-                    let ev = ext[vi];
-                    if !f.alive.get(ev as usize) {
-                        st.dead_drops += 1;
-                        continue;
-                    }
-                    if !f.link_delivers(best_tx, ev) {
-                        st.losses += 1;
-                        continue;
-                    }
-                }
-                st.deliveries += 1;
-                if !informed.get(vi) {
-                    newly.push(v);
-                }
-            } else if candidates > 1 {
-                st.collisions += 1;
-            } else {
-                st.sinr_rejects += 1;
-            }
-        }
-        (st, newly)
-    });
-    merge_partials(partials)
-}
-
-/// Folds per-worker `(stats, newly)` partials; both merges commute, so the
-/// result is shard-layout independent.
-fn merge_partials(partials: Vec<(SlotStats, Vec<u32>)>) -> (SlotStats, Vec<u32>) {
-    let mut stats = SlotStats::default();
-    let mut newly = Vec::new();
-    for (st, mut part) in partials {
-        stats.absorb(st);
-        newly.append(&mut part);
-    }
-    (stats, newly)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::executor::Executor;
+    use nss_model::comm::{MediumBackend, SinrParams};
     use nss_model::deployment::{DeployedNetwork, Deployment};
     use nss_model::geometry::Point2;
 
@@ -795,6 +526,26 @@ mod tests {
     }
 
     #[test]
+    fn cfm_ignores_the_sinr_backend_in_both_engines() {
+        // CFM is reliable by assumption and ignores the physical layer:
+        // under a SINR backend neither engine may record the SINR series,
+        // and with p = 1 both still match the plain CFM flood.
+        let topo = Topology::build(&Deployment::disk(5, 1.0, 45.0).sample(8));
+        let cfm = GossipConfig {
+            model: CommunicationModel::Cfm,
+            ..GossipConfig::flooding_cam()
+        };
+        let sinr = cfm.with_backend(MediumBackend::Sinr(SinrParams::DEFAULT));
+        let plain = run_gossip(&topo, &cfm, 3);
+        let seq = run_gossip(&topo, &sinr, 3);
+        let shard = run_gossip_sharded(&topo, &sinr, 3, 4);
+        for t in [&seq, &shard] {
+            assert!(t.sinr_rejects_by_phase.is_empty());
+            assert_traces_equal(t, &plain);
+        }
+    }
+
+    #[test]
     fn cam_collision_star_matches_semantics() {
         // Same construction as slotted's collision test: with s = 1 both
         // relays transmit in the only slot, so the far node must collide.
@@ -887,32 +638,16 @@ mod tests {
     }
 
     /// With live instrumentation, a sharded run must leave a coherent
-    /// telemetry footprint: claim elections won/contended, per-stage shard
-    /// timings, imbalance and memory gauges, and flight-recorder events.
+    /// telemetry footprint: per-stage shard timings, imbalance and memory
+    /// gauges, and flight-recorder events.
     #[cfg(feature = "obs")]
     #[test]
     fn telemetry_footprint_is_coherent() {
         let reg = nss_obs::registry::Registry::global();
         let before = reg.snapshot();
         let topo = Topology::build(&Deployment::disk(5, 1.0, 60.0).sample(21));
-        let t = run_gossip_sharded(&topo, &GossipConfig::flooding_cam(), 17, 4);
+        let _ = run_gossip_sharded(&topo, &GossipConfig::flooding_cam(), 17, 4);
         let delta = reg.snapshot().delta_since(&before);
-        let counter = |name: &str| {
-            delta
-                .counters
-                .iter()
-                .find(|(k, _)| k == name)
-                .map_or(0, |&(_, v)| v)
-        };
-        let won = counter("sim.claim.won");
-        let contended = counter("sim.claim.contended");
-        // Every delivery/collision/deferral receiver was claimed exactly
-        // once; flooding a dense disk must also lose some elections.
-        assert!(
-            won >= t.total_deliveries() + t.total_collisions(),
-            "won={won}"
-        );
-        assert!(contended > 0, "dense flooding must contend claims");
         let hist = |name: &str| {
             delta
                 .histograms

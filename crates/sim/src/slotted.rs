@@ -235,7 +235,7 @@ pub(crate) fn run_gossip_with(
         trace.deliveries_by_phase.push(deliveries);
         trace.collisions_by_phase.push(phase_stats.collisions);
         trace.cs_deferrals_by_phase.push(phase_stats.cs_deferrals);
-        if cfg.backend.is_sinr() {
+        if medium.sinr_params().is_some() {
             trace.sinr_rejects_by_phase.push(phase_stats.sinr_rejects);
         }
         if let Some(fs) = fault_state.as_ref() {

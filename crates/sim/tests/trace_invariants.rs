@@ -13,6 +13,10 @@
 //!   collides, and the transmission-range rule never defers;
 //! * with the `obs` feature on, the global counters agree exactly with
 //!   the trace totals.
+//!
+//! Every test that runs an engine holds [`engine_lock`]: the counters are
+//! process-global, so an engine running on another test thread would bump
+//! them between an `obs_counters` test's before/after reads.
 
 use nss_model::deployment::Deployment;
 use nss_model::topology::Topology;
@@ -23,6 +27,14 @@ use nss_sim::protocols::{
 };
 use nss_sim::slotted::GossipConfig;
 use nss_sim::trace::{SimTrace, NEVER};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Serializes the engine-running tests of this binary (see the module
+/// docs). Poison-tolerant, so one failed test does not fail the others.
+fn engine_lock() -> MutexGuard<'static, ()> {
+    static ENGINE_LOCK: Mutex<()> = Mutex::new(());
+    ENGINE_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn disk(n_avg: u32, diameter: f64, seed: u64) -> Topology {
     Topology::build(&Deployment::disk(n_avg, 1.0, diameter).sample(seed))
@@ -140,6 +152,7 @@ fn check_first_rx(name: &str, t: &SimTrace) {
 
 #[test]
 fn slotted_protocols_satisfy_trace_invariants() {
+    let _guard = engine_lock();
     for seed in 0..4u64 {
         let topo = disk(4, 40.0, seed + 100);
         for (name, t) in slotted_traces(&topo, seed) {
@@ -151,6 +164,7 @@ fn slotted_protocols_satisfy_trace_invariants() {
 
 #[test]
 fn cfm_never_records_collisions_or_deferrals() {
+    let _guard = engine_lock();
     let topo = disk(5, 40.0, 9);
     let t = Executor::new(&topo)
         .gossip(GossipConfig::gossip_cfm(1.0))
@@ -162,6 +176,7 @@ fn cfm_never_records_collisions_or_deferrals() {
 
 #[test]
 fn transmission_range_rule_never_defers() {
+    let _guard = engine_lock();
     for seed in 0..3u64 {
         let topo = disk(6, 30.0, seed + 7);
         let t = Executor::new(&topo)
@@ -177,6 +192,7 @@ fn transmission_range_rule_never_defers() {
 
 #[test]
 fn dense_cam_flooding_records_collisions() {
+    let _guard = engine_lock();
     // A dense disk under CAM flooding must lose some receptions; the new
     // collision channel should see them.
     let topo = disk(8, 20.0, 3);
@@ -193,6 +209,7 @@ fn dense_cam_flooding_records_collisions() {
 
 #[test]
 fn async_gossip_totals_are_consistent() {
+    let _guard = engine_lock();
     for seed in 0..4u64 {
         let topo = disk(4, 30.0, seed + 50);
         let n = topo.len() as u64;
@@ -214,10 +231,6 @@ fn async_gossip_totals_are_consistent() {
 #[cfg(feature = "obs")]
 mod obs_counters {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Serializes tests that read global-counter deltas.
-    static COUNTER_LOCK: Mutex<()> = Mutex::new(());
 
     fn counter(name: &str) -> u64 {
         nss_obs::registry::Registry::global().counter(name).get()
@@ -225,7 +238,7 @@ mod obs_counters {
 
     #[test]
     fn gossip_counters_match_trace_totals() {
-        let _guard = COUNTER_LOCK.lock().unwrap();
+        let _guard = engine_lock();
         let topo = disk(5, 30.0, 11);
         let before = (
             counter("sim.broadcasts"),
@@ -250,7 +263,7 @@ mod obs_counters {
 
     #[test]
     fn async_counters_match_trace_totals() {
-        let _guard = COUNTER_LOCK.lock().unwrap();
+        let _guard = engine_lock();
         let topo = disk(4, 30.0, 21);
         let before = (
             counter("sim.broadcasts"),
